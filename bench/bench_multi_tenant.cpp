@@ -23,7 +23,7 @@
 // never exceeds the global budget; both governed runs hold the cluster
 // ceiling (equal total overhead), but the arbitrated hot map lands much
 // closer to the oracle than the even-split map; and a quiet single-tenant
-// run through the tenant API reproduces the legacy entry point bit-for-bit.
+// run through the tenant API reproduces plain Djvm::run_epoch bit-for-bit.
 #include <algorithm>
 #include <iostream>
 #include <limits>
@@ -164,8 +164,8 @@ SquareMatrix run_oracle() {
   return vm.daemon().build_full();
 }
 
-/// The quiet single-tenant equivalence probe: the same workload through the
-/// deprecated legacy entry point and through the tenant API must produce
+/// The quiet single-tenant equivalence probe: the same workload through
+/// plain Djvm::run_epoch and through the tenant API must produce
 /// bit-identical correlation maps.
 double api_equivalence_error() {
   SquareMatrix maps[2];
@@ -178,7 +178,7 @@ double api_equivalence_error() {
     for (std::uint32_t epoch = 0; epoch < 8; ++epoch) {
       app.serve_epoch(vm);
       if (side == 0) {
-        vm.run_governed_epoch();
+        vm.run_epoch();
       } else {
         tenant.run_epoch();
       }
@@ -279,7 +279,7 @@ int main() {
                global_ceiling, "<=");
   report.check("arbitrated hot map beats the even-split map at equal overhead",
                err_arb < 0.5 * err_even, err_arb, 0.5 * err_even, "<");
-  report.check("tenant API reproduces the legacy entry point bit-for-bit",
+  report.check("tenant API reproduces plain Djvm::run_epoch bit-for-bit",
                api_error == 0.0, api_error, 0.0, "==");
   return report.finish();  // nonzero fails the CI acceptance step
 }

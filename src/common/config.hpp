@@ -95,12 +95,12 @@ struct RetentionKnobs {
 /// Observability-export knobs (Config::export_; the trailing underscore
 /// dodges the keyword).
 struct ExportKnobs {
-  /// When non-empty, every run_governed_epoch() hands the fresh governor
+  /// When non-empty, every Djvm::run_epoch() hands the fresh governor
   /// state + TCM to a background double-buffered snapshot writer targeting
   /// this path (crash-recovery snapshots without stalling the epoch loop;
   /// a slow disk coalesces queued snapshots, latest wins).
   std::string snapshot_path;
-  /// When non-empty, every run_governed_epoch() appends one JSON metrics
+  /// When non-empty, every Djvm::run_epoch() appends one JSON metrics
   /// line (see export/timeline.hpp for the schema) to this path through the
   /// same async writer — the epoch loop never blocks on the log disk.  The
   /// file is truncated at construction, so each run starts a fresh log.
@@ -110,7 +110,7 @@ struct ExportKnobs {
 };
 
 /// Mid-run migration-execution knobs (Config::balance): the execution stage
-/// of Djvm::run_governed_epoch, which applies the migration planner's
+/// of Djvm::run_epoch, which applies the migration planner's
 /// top-scoring suggestions batched per epoch instead of only scoring them
 /// for governor influence.
 struct BalanceKnobs {
@@ -230,9 +230,9 @@ struct ArbiterKnobs {
   double lend_ratio = 0.75;
 };
 
-/// The configuration state; Config derives from this.  Everything in the
-/// tree reads and writes the nested knob names.
-struct ConfigData {
+/// Central configuration.  Cross-cutting subsystems keep their knobs in the
+/// nested *Knobs structs above; everything reads and writes those names.
+struct Config {
   // --- cluster shape -------------------------------------------------------
   std::uint32_t nodes = 8;
   std::uint32_t threads = 8;
@@ -244,8 +244,6 @@ struct ConfigData {
   /// 0 means "full sampling" (gap 1).  The per-class gap is derived as
   /// nearest_prime(page / (instance_size * rate)).
   std::uint32_t sampling_rate_x = 0;
-  /// TCM accrual period: rebuild after this many collected intervals.
-  std::uint32_t tcm_epoch_intervals = 64;
   /// Convergence threshold on relative ABS distance for the adaptive
   /// rate controller.
   double adapt_threshold = 0.05;
@@ -292,20 +290,12 @@ struct ConfigData {
   SimTime footprint_phase = sim_ms(100);
   /// Re-arm period for repeated in-interval tracking of sampled objects.
   SimTime footprint_rearm = sim_ms(10);
-  /// Lower bound on the footprinting sampling gap (the paper bounds it to
-  /// keep repeated tracking cheap).
-  std::uint32_t footprint_min_gap = 1;
   /// Landmark tolerance `t` for sticky-set resolution (paper: t > 1).
   double landmark_tolerance = 2.0;
 
   // --- simulated machine ---------------------------------------------------
   SimCosts costs{};
-};
 
-/// Central configuration.  The deprecated flat aliases for the nested knob
-/// names (the PR 7 `[[deprecated]]` reference shim) served their one-release
-/// notice and are gone; everything reads and writes the nested names.
-struct Config : ConfigData {
   /// Human-readable one-line summary for logs.
   [[nodiscard]] std::string summary() const;
 };

@@ -97,17 +97,19 @@ std::vector<std::uint8_t> export_pprof(const SnapshotInfo& info,
   }
 
   // Per-class samples: the plan's gaps plus the influence table, one
-  // single-frame sample per class entry.
-  std::vector<double> influence_of;
-  for (const auto& [id, share] : info.influence) {
-    if (influence_of.size() <= id) influence_of.resize(id + 1, 0.0);
-    influence_of[id] = share;
-  }
+  // single-frame sample per class entry.  The table is sorted by class id
+  // (parse_snapshot rejects anything else), so look shares up by search:
+  // ids come from the file and must never size an allocation.
+  const auto share_of = [&info](std::uint32_t id) {
+    const auto it = std::lower_bound(
+        info.influence.begin(), info.influence.end(), id,
+        [](const auto& entry, std::uint32_t key) { return entry.first < key; });
+    return it != info.influence.end() && it->first == id ? it->second : 0.0;
+  };
   for (const SnapshotInfo::ClassGap& g : info.classes) {
     const std::uint64_t locs[1] = {
         b.location_id(class_display_name(g.id, class_names))};
-    const double share =
-        g.id < influence_of.size() ? influence_of[g.id] : 0.0;
+    const double share = share_of(g.id);
     const std::int64_t values[3] = {0, g.nominal_gap, to_millionths(share)};
     b.add_sample(locs, values);
     ++out_stats.class_samples;
@@ -234,7 +236,7 @@ std::string export_snapshot_json(const SnapshotInfo& info,
   out += ",\"migrations_executed\":" + std::to_string(info.migrations_executed);
   out += ",\"migrations\":[";
   for (std::size_t i = 0; i < info.migrations.size(); ++i) {
-    const SnapshotInfo::Migration& m = info.migrations[i];
+    const Governor::ExecutedMigration& m = info.migrations[i];
     if (i != 0) out += ',';
     out += "{\"epoch\":" + std::to_string(m.epoch);
     out += ",\"thread\":" + std::to_string(m.thread);

@@ -239,6 +239,7 @@ class Governor {
     double gain_bytes = 0.0;        ///< planner locality gain for the move
     double sim_cost_seconds = 0.0;  ///< simulated cost billed to the migrant
     std::uint64_t prefetched_bytes = 0;
+    bool operator==(const ExecutedMigration&) const = default;
   };
   /// Retained-history cap; the total counter keeps counting past it.
   static constexpr std::size_t kMigrationHistoryCap = 256;
@@ -282,6 +283,7 @@ class Governor {
     double floor = 0.0;           ///< guaranteed minimum grant
     std::uint64_t borrowed_epochs = 0;  ///< epochs granted above fair share
     std::uint64_t lent_epochs = 0;      ///< epochs granted below fair share
+    bool operator==(const TenantLease&) const = default;
   };
 
   /// Applies an arbiter grant: swaps the overhead budget the controller

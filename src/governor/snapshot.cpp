@@ -225,299 +225,44 @@ struct SnapshotAccess {
     put<std::uint32_t>(out, crc32(out.data(), out.size()));
   }
 
-  static bool decode(const std::vector<std::uint8_t>& bytes, Governor& gov,
-                     SquareMatrix& tcm) {
-    Reader r(bytes);
-    std::uint32_t magic = 0, version = 0;
-    if (!r.get(magic) || magic != kSnapshotMagic) return false;
-    if (!r.get(version) || version < kSnapshotVersionV1 ||
-        version > kSnapshotVersion) {
-      return false;
+  /// Installs a parsed snapshot whose class and influence ids the caller
+  /// has checked against the live registry.  Sections the file's version
+  /// predates keep the live governor's machine-local state.
+  static void apply(SnapshotInfo& info, Governor& gov, SquareMatrix& tcm) {
+    GovernorConfig& cfg = gov.cfg_;  // meter costs/window stay machine-local
+    cfg.overhead_budget = info.overhead_budget;
+    cfg.distance_threshold = info.distance_threshold;
+    cfg.hysteresis = info.hysteresis;
+    cfg.phase_spike_factor = info.phase_spike_factor;
+    if (info.version >= kSnapshotVersionV2) {
+      // v1's flags byte was reserved padding: a v1 file keeps this
+      // machine's per-node policy knobs.
+      cfg.per_node = info.per_node;
+      cfg.node_budget = info.node_budget;
     }
-    // Checksum before structure: a corrupt v6 blob must fail here, never by
-    // luck of which field it tore.
-    if (!check_crc_footer(bytes, version, r)) return false;
-    const bool v1 = version == kSnapshotVersionV1;
-
-    std::uint8_t mode = 0, state = 0, flags = 0, reserved = 0;
-    GovernorConfig cfg = gov.cfg_;  // meter costs/window stay machine-local
-    std::uint64_t epochs = 0, rearms = 0;
-    if (!r.get(mode) || !r.get(state) || !r.get(flags) || !r.get(reserved)) {
-      return false;
-    }
-    if (!r.get(cfg.overhead_budget) || !r.get(cfg.distance_threshold) ||
-        !r.get(cfg.hysteresis) || !r.get(cfg.phase_spike_factor)) {
-      return false;
-    }
-    if (v1) {
-      // v1's flags byte was reserved padding; the per-node policy knobs
-      // (cfg.per_node, cfg.node_budget) stay whatever this machine's
-      // governor was configured with.
-    } else {
-      if (flags > 1u) return false;  // unknown flag bits: corruption
-      if (!r.get(cfg.node_budget)) return false;
-      cfg.per_node = (flags & 1u) != 0;
-    }
-    if (!r.get(cfg.sentinel_coarsen_shifts) || !r.get(cfg.max_nominal_gap) ||
-        !r.get(epochs) || !r.get(rearms)) {
-      return false;
-    }
-    if (mode > static_cast<std::uint8_t>(GovernorMode::kClosedLoop) ||
-        state > static_cast<std::uint8_t>(GovernorState::kSentinel)) {
-      return false;
-    }
-    // Armed modes only ever produce specific states; an inconsistent pair
-    // (e.g. closed loop + kConverged, which closed_loop_step never leaves)
-    // would wedge the restored controller.  Disarmed governors may carry
-    // any terminal state for reporting.
-    const auto gm = static_cast<GovernorMode>(mode);
-    const auto gs = static_cast<GovernorState>(state);
-    if (gm == GovernorMode::kLegacyOneWay && gs != GovernorState::kAdapting &&
-        gs != GovernorState::kConverged) {
-      return false;
-    }
-    if (gm == GovernorMode::kClosedLoop && gs != GovernorState::kAdapting &&
-        gs != GovernorState::kSentinel) {
-      return false;
-    }
-    // Config corruption that survives the structural checks would wedge the
-    // controller (NaN budget disables every comparison; max gap 0 inverts
-    // the sentinel): reject anything outside sane ranges.
-    const auto sane = [](double v) { return std::isfinite(v) && v >= 0.0; };
-    if (!sane(cfg.overhead_budget) || !sane(cfg.distance_threshold) ||
-        !sane(cfg.hysteresis) || !sane(cfg.phase_spike_factor) ||
-        !sane(cfg.node_budget) || cfg.max_nominal_gap == 0 ||
-        cfg.sentinel_coarsen_shifts > 31) {
-      return false;
-    }
-
-    std::uint32_t class_count = 0;
-    if (!r.get(class_count)) return false;
-    struct ClassGap {
-      ClassId id;
-      std::uint32_t nominal, real, converged, flags;
-    };
-    // A corrupt count must be rejected before it sizes an allocation.
-    if (static_cast<std::uint64_t>(class_count) * (5 * sizeof(std::uint32_t)) >
-        r.remaining()) {
-      return false;
-    }
-    std::vector<ClassGap> gaps(class_count);
-    const KlassRegistry& reg = gov.plan_.heap().registry();
-    for (ClassGap& g : gaps) {
-      if (!r.get(g.id) || !r.get(g.nominal) || !r.get(g.real) ||
-          !r.get(g.converged) || !r.get(g.flags)) {
-        return false;
-      }
-      if (static_cast<std::size_t>(g.id) >= reg.size()) return false;
-      // A rated class with a zero gap field would silently flip to full
-      // sampling on load (gap 0 clamps/behaves as 1): corruption, reject.
-      if ((g.flags & 1u) != 0 && (g.nominal == 0 || g.real == 0)) return false;
-    }
-
-    // v2+: per-(node, class) gap shift table; a v1 snapshot has none, so a
-    // restored per-node governor starts with every node on the cluster view.
-    std::uint32_t shift_nodes = 0;
-    std::vector<std::uint8_t> shifts;
-    if (!v1) {
-      if (!r.get(shift_nodes)) return false;
-      const std::uint64_t cells =
-          static_cast<std::uint64_t>(shift_nodes) * class_count;
-      // NodeId is 16-bit; a wider count (or a table that cannot fit in the
-      // remaining bytes) is corruption, checked before the allocation.
-      if (shift_nodes > std::numeric_limits<NodeId>::max()) return false;
-      if (cells > r.remaining()) return false;
-      shifts.resize(static_cast<std::size_t>(cells));
-      for (std::uint8_t& s : shifts) {
-        if (!r.get(s)) return false;
-        if (s > 31) return false;  // beyond any gap the encoder can produce
-      }
-    }
-
-    // v3+: per-node cached-copy bookkeeping summary.  Older files simply
-    // restart the counters at zero.
-    std::uint32_t copy_nodes = 0;
-    std::vector<std::uint64_t> copy_regs, copy_visits;
-    if (version >= kSnapshotVersionV3) {
-      if (!r.get(copy_nodes)) return false;
-      if (copy_nodes > std::numeric_limits<NodeId>::max()) return false;
-      if (static_cast<std::uint64_t>(copy_nodes) * 2 * sizeof(std::uint64_t) >
-          r.remaining()) {
-        return false;
-      }
-      copy_regs.resize(copy_nodes);
-      copy_visits.resize(copy_nodes);
-      for (std::uint32_t n = 0; n < copy_nodes; ++n) {
-        if (!r.get(copy_regs[n]) || !r.get(copy_visits[n])) return false;
-      }
-      // The encoder trims trailing all-zero rows; a padded table would
-      // re-encode differently (corruption or a foreign writer).
-      if (copy_nodes > 0 && copy_regs[copy_nodes - 1] == 0 &&
-          copy_visits[copy_nodes - 1] == 0) {
-        return false;
-      }
-    }
-
-    // v4: backoff scoring + influence table.  Pre-v4 files carry neither;
-    // the restored governor keeps its machine-local scoring mode and
-    // whatever influence it has already learned this run.
-    bool have_v4 = false;
-    std::uint8_t scoring = 0, influence_seen = 0;
-    std::vector<std::pair<std::uint32_t, double>> influence_entries;
-    if (version >= kSnapshotVersionV4) {
-      have_v4 = true;
-      std::uint16_t reserved16 = 0;
-      if (!r.get(scoring) || !r.get(influence_seen) || !r.get(reserved16)) {
-        return false;
-      }
-      if (scoring > static_cast<std::uint8_t>(BackoffScoring::kInfluenceWeighted) ||
-          influence_seen > 1u || reserved16 != 0) {
-        return false;
-      }
-      if (!r.get(cfg.influence_decay)) return false;
-      if (!std::isfinite(cfg.influence_decay) || cfg.influence_decay < 0.0 ||
-          cfg.influence_decay > 1.0) {
-        return false;
-      }
-      std::uint32_t influence_count = 0;
-      if (!r.get(influence_count)) return false;
-      // An influence table without the seen flag would re-encode differently
-      // (the encoder only writes entries a feedback epoch produced).
-      if (influence_seen == 0 && influence_count != 0) return false;
-      if (static_cast<std::uint64_t>(influence_count) *
-              (sizeof(std::uint32_t) + sizeof(double)) >
-          r.remaining()) {
-        return false;
-      }
-      influence_entries.resize(influence_count);
-      std::uint64_t last_id = 0;
-      for (std::uint32_t i = 0; i < influence_count; ++i) {
-        if (!r.get(influence_entries[i].first) ||
-            !r.get(influence_entries[i].second)) {
-          return false;
-        }
-        // Entries are written in ascending class order, trimmed of zeros;
-        // out-of-order, duplicate, unknown-class, or non-positive values are
-        // corruption (or a foreign writer).
-        if (influence_entries[i].first >= reg.size()) return false;
-        if (i > 0 && influence_entries[i].first <= last_id) return false;
-        last_id = influence_entries[i].first;
-        if (!std::isfinite(influence_entries[i].second) ||
-            influence_entries[i].second <= 0.0) {
-          return false;
-        }
-      }
-      cfg.scoring = static_cast<BackoffScoring>(scoring);
-    }
-
-    // v5: executed-migration history.  Pre-v5 files carry none; the restored
-    // governor keeps whatever history it has already accumulated this run.
-    bool have_v5 = false;
-    std::uint64_t migrations_executed = 0;
-    std::vector<Governor::ExecutedMigration> migration_history;
-    if (version >= kSnapshotVersionV5) {
-      have_v5 = true;
-      std::uint32_t count = 0;
-      if (!r.get(migrations_executed) || !r.get(count)) return false;
-      // The encoder never retains more than the cap, and the total counts
-      // every entry the bounded history ever held.
-      if (count > Governor::kMigrationHistoryCap) return false;
-      if (migrations_executed < count) return false;
-      constexpr std::size_t kEntryBytes = sizeof(std::uint64_t) +
-                                          sizeof(std::uint32_t) +
-                                          2 * sizeof(std::uint16_t) +
-                                          2 * sizeof(double) +
-                                          sizeof(std::uint64_t);
-      if (static_cast<std::uint64_t>(count) * kEntryBytes > r.remaining()) {
-        return false;
-      }
-      migration_history.resize(count);
-      std::uint64_t prev_epoch = 0;
-      for (Governor::ExecutedMigration& m : migration_history) {
-        if (!r.get(m.epoch) || !r.get(m.thread) || !r.get(m.from) ||
-            !r.get(m.to) || !r.get(m.gain_bytes) ||
-            !r.get(m.sim_cost_seconds) || !r.get(m.prefetched_bytes)) {
-          return false;
-        }
-        // The history is chronological and every executed move names two
-        // distinct live nodes, a real thread, and a positive planner gain
-        // (the execution stage records nothing else); the thread bound also
-        // caps the cooldown-stamp table rebuilt below.
-        if (m.epoch < prev_epoch || m.epoch > epochs) return false;
-        prev_epoch = m.epoch;
-        if (m.thread >= kMaxSnapshotThreads) return false;
-        if (m.from == m.to || m.from == kInvalidNode || m.to == kInvalidNode) {
-          return false;
-        }
-        if (!std::isfinite(m.gain_bytes) || m.gain_bytes <= 0.0) return false;
-        if (!std::isfinite(m.sim_cost_seconds) || m.sim_cost_seconds < 0.0) {
-          return false;
-        }
-      }
-    }
-
-    // v7: tenant budget lease.  Pre-v7 files have no opinion on tenancy, so
-    // the live governor keeps whatever lease it already holds.
-    bool have_v7 = false;
-    bool has_lease = false;
-    Governor::TenantLease lease;
-    if (version >= kSnapshotVersionV7) {
-      have_v7 = true;
-      std::uint8_t lease_flag = 0;
-      if (!r.get(lease_flag)) return false;
-      if (lease_flag > 1u) return false;
-      has_lease = lease_flag != 0;
-      if (has_lease) {
-        if (!r.get(lease.tenant) || !r.get(lease.tier) ||
-            !r.get(lease.weight) || !r.get(lease.granted_budget) ||
-            !r.get(lease.fair_share) || !r.get(lease.floor) ||
-            !r.get(lease.borrowed_epochs) || !r.get(lease.lent_epochs)) {
-          return false;
-        }
-        // A lease with a non-positive weight or a NaN grant would wedge the
-        // next arbitration round the same way a NaN budget wedges the
-        // controller: corruption, reject.
-        if (!std::isfinite(lease.weight) || lease.weight <= 0.0) return false;
-        if (!sane(lease.granted_budget) || !sane(lease.fair_share) ||
-            !sane(lease.floor)) {
-          return false;
-        }
-        if (lease.floor > lease.granted_budget && lease.granted_budget > 0.0) {
-          return false;  // the arbiter never grants below the floor
-        }
-      }
-    }
-
-    std::uint64_t n = 0;
-    if (!r.get(n)) return false;
-    if (n != 0 && (n > r.remaining() / sizeof(double) / n)) return false;
-    SquareMatrix m(static_cast<std::size_t>(n));
-    for (double& v : m.raw()) {
-      if (!r.get(v)) return false;
-    }
-    if (!r.exhausted()) return false;
-
-    // All validation passed: apply.
-    gov.cfg_ = cfg;
-    gov.mode_ = static_cast<GovernorMode>(mode);
-    gov.state_ = static_cast<GovernorState>(state);
-    gov.epochs_ = static_cast<std::size_t>(epochs);
-    gov.rearms_ = static_cast<std::size_t>(rearms);
+    cfg.sentinel_coarsen_shifts = info.sentinel_coarsen_shifts;
+    cfg.max_nominal_gap = info.max_nominal_gap;
+    gov.mode_ = static_cast<GovernorMode>(info.mode);
+    gov.state_ = static_cast<GovernorState>(info.state);
+    gov.epochs_ = static_cast<std::size_t>(info.epochs_seen);
+    gov.rearms_ = static_cast<std::size_t>(info.rearms);
     // A restored sentinel gets a grace epoch: the warm-started workload's
     // first map will differ from the stored one without that being a phase
     // change.
     gov.grace_ = gov.state_ == GovernorState::kSentinel ? 1 : 0;
-    if (have_v4) {
+    if (info.version >= kSnapshotVersionV4) {
+      cfg.scoring = static_cast<BackoffScoring>(info.backoff_scoring);
+      cfg.influence_decay = info.influence_decay;
       gov.influence_.clear();
-      for (const auto& [id, value] : influence_entries) {
+      for (const auto& [id, value] : info.influence) {
         if (gov.influence_.size() <= id) gov.influence_.resize(id + 1, 0.0);
         gov.influence_[id] = value;
       }
-      gov.influence_seen_ = influence_seen != 0;
+      gov.influence_seen_ = info.influence_seen;
     }
-    if (have_v5) {
-      gov.migration_history_ = std::move(migration_history);
-      gov.migrations_executed_ = migrations_executed;
+    if (info.version >= kSnapshotVersionV5) {
+      gov.migration_history_ = std::move(info.migrations);
+      gov.migrations_executed_ = info.migrations_executed;
       // Rebuild the per-thread cooldown stamps; entries are chronological,
       // so the last write per thread wins, as it did live.
       gov.last_migration_epoch_.clear();
@@ -529,9 +274,9 @@ struct SnapshotAccess {
         gov.last_migration_epoch_[m.thread] = m.epoch;
       }
     }
-    if (have_v7) {
-      gov.lease_ = has_lease ? std::optional(lease) : std::nullopt;
-    }
+    if (info.version >= kSnapshotVersionV7) gov.lease_ = info.lease;
+
+    const KlassRegistry& reg = gov.plan_.heap().registry();
     gov.converged_gaps_.assign(reg.size(), 0);  // 0 = not captured
     // Only classes whose gaps or shifts actually move need the paper's
     // change-notice resampling walk.  Restoring into an already-warm world
@@ -539,58 +284,50 @@ struct SnapshotAccess {
     // governor drives the cached-copy plan immediately, with no full
     // resample storm billed to the first epoch.
     std::vector<std::uint8_t> changed(reg.size(), 0);
-    const auto mark_changed = [&changed](ClassId id) {
-      if (static_cast<std::size_t>(id) < changed.size()) {
-        changed[static_cast<std::size_t>(id)] = 1;
-      }
-    };
     // Shifts: any class shifted before or after the load is affected.
     for (std::size_t n = 0; n < gov.plan_.shift_node_count(); ++n) {
       for (const Klass& k : reg.all()) {
         if (gov.plan_.node_gap_shift(static_cast<NodeId>(n), k.id) != 0) {
-          mark_changed(k.id);
+          changed[static_cast<std::size_t>(k.id)] = 1;
         }
       }
     }
-    for (std::uint32_t nn = 0; nn < shift_nodes; ++nn) {
-      for (std::uint32_t c = 0; c < class_count; ++c) {
-        if (shifts[static_cast<std::size_t>(nn) * class_count + c] != 0) {
-          mark_changed(gaps[c].id);
-        }
+    for (std::size_t n = 0; n < info.shift_nodes; ++n) {
+      for (std::size_t c = 0; c < info.classes.size(); ++c) {
+        if (info.shift_at(n, c) != 0) changed[info.classes[c].id] = 1;
       }
     }
-    for (const ClassGap& g : gaps) {
-      if ((g.flags & 1u) == 0) continue;
+    for (const SnapshotInfo::ClassGap& g : info.classes) {
+      if (!g.rated) continue;
       const SamplingInfo& live = reg.at(g.id).sampling;
-      if (!live.initialized || live.nominal_gap != g.nominal ||
-          live.real_gap != g.real) {
-        mark_changed(g.id);
+      if (!live.initialized || live.nominal_gap != g.nominal_gap ||
+          live.real_gap != g.real_gap) {
+        changed[g.id] = 1;
       }
     }
     // Node state: v2+ restores the stored shift table; v1 seeds every node
     // from the cluster view (no shifts).
     gov.plan_.clear_node_gap_shifts();
-    for (std::uint32_t nn = 0; nn < shift_nodes; ++nn) {
-      for (std::uint32_t c = 0; c < class_count; ++c) {
-        const std::uint8_t s =
-            shifts[static_cast<std::size_t>(nn) * class_count + c];
-        if (s != 0) {
-          gov.plan_.set_node_gap_shift(static_cast<NodeId>(nn), gaps[c].id, s);
+    for (std::size_t n = 0; n < info.shift_nodes; ++n) {
+      for (std::size_t c = 0; c < info.classes.size(); ++c) {
+        if (const std::uint8_t s = info.shift_at(n, c); s != 0) {
+          gov.plan_.set_node_gap_shift(static_cast<NodeId>(n),
+                                       info.classes[c].id, s);
         }
       }
     }
-    for (const ClassGap& g : gaps) {
+    for (const SnapshotInfo::ClassGap& g : info.classes) {
       // A class that never had a rate assigned keeps its placeholder gaps
       // and, crucially, its uninitialized flag, so its first allocation in
       // the warm-started run still inherits the cluster default rate.
-      if ((g.flags & 1u) != 0) {
-        gov.plan_.set_nominal_gap(g.id, g.nominal);
+      if (g.rated) {
+        gov.plan_.set_nominal_gap(g.id, g.nominal_gap);
         // Apply the *stored* real gap rather than trusting the recompute:
         // bit-exactness must survive a future change to the nominal->prime
         // mapping (tie-breaking, say) between writer and reader builds.
-        gov.plan_.heap().registry().at(g.id).sampling.real_gap = g.real;
+        gov.plan_.heap().registry().at(g.id).sampling.real_gap = g.real_gap;
       }
-      gov.converged_gaps_[static_cast<std::size_t>(g.id)] = g.converged;
+      gov.converged_gaps_[g.id] = g.converged_gap;
     }
     std::vector<ClassId> to_resample;
     for (std::size_t c = 0; c < changed.size(); ++c) {
@@ -599,9 +336,14 @@ struct SnapshotAccess {
     gov.plan_.resample_classes(to_resample);
     // Seeded last: the targeted resample above books its own visits, but the
     // restored totals must be exactly the stored ones (bit-exact re-encode).
+    // Pre-v3 files carry no summary, so the counters restart at zero.
+    std::vector<std::uint64_t> copy_regs, copy_visits;
+    for (const SnapshotInfo::CopyNode& c : info.copy_nodes) {
+      copy_regs.push_back(c.registrations);
+      copy_visits.push_back(c.resample_visits);
+    }
     gov.plan_.seed_copy_bookkeeping(std::move(copy_regs), std::move(copy_visits));
-    tcm = std::move(m);
-    return true;
+    tcm = std::move(info.tcm);
   }
 };
 
@@ -614,7 +356,19 @@ std::vector<std::uint8_t> encode_snapshot(const Governor& gov,
 
 bool decode_snapshot(const std::vector<std::uint8_t>& bytes, Governor& gov,
                      SquareMatrix& tcm) {
-  return SnapshotAccess::decode(bytes, gov, tcm);
+  SnapshotInfo info;
+  if (!parse_snapshot(bytes, info)) return false;
+  // The checks only the live registry can make: every class the file names
+  // (gaps, and the influence entries keyed by class) must exist here.
+  const std::size_t classes = gov.plan().heap().registry().size();
+  for (const SnapshotInfo::ClassGap& g : info.classes) {
+    if (g.id >= classes) return false;
+  }
+  for (const auto& entry : info.influence) {
+    if (entry.first >= classes) return false;
+  }
+  SnapshotAccess::apply(info, gov, tcm);
+  return true;
 }
 
 bool save_snapshot(const std::string& path, const Governor& gov,
@@ -667,11 +421,9 @@ std::vector<std::string> recover_timeline(const std::string& path, bool* torn) {
 
 // --- parse_snapshot -----------------------------------------------------------
 //
-// Mirrors SnapshotAccess::decode field for field but keeps only the
-// structural checks: counts vs remaining bytes, enum ranges, finiteness,
-// shift/flag bounds, full consumption.  Registry-dependent checks (known
-// class ids, trim invariants that assume this build's encoder) are dropped —
-// an exporter must read files from other runs and other registry layouts.
+// The one reader of the byte layout.  It checks every invariant that needs
+// no live registry, so decode_snapshot adds only the class-id checks before
+// applying the result.
 
 bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
   Reader r(bytes);
@@ -708,15 +460,34 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
       out.state > static_cast<std::uint8_t>(GovernorState::kSentinel)) {
     return false;
   }
+  // Armed modes only ever produce specific states; an inconsistent pair
+  // (e.g. closed loop + kConverged, which closed_loop_step never leaves)
+  // would wedge the restored controller.  Disarmed governors may carry
+  // any terminal state for reporting.
+  const auto gm = static_cast<GovernorMode>(out.mode);
+  const auto gs = static_cast<GovernorState>(out.state);
+  if (gm == GovernorMode::kLegacyOneWay && gs != GovernorState::kAdapting &&
+      gs != GovernorState::kConverged) {
+    return false;
+  }
+  if (gm == GovernorMode::kClosedLoop && gs != GovernorState::kAdapting &&
+      gs != GovernorState::kSentinel) {
+    return false;
+  }
+  // Config corruption that survives the structural checks would wedge the
+  // controller (NaN budget disables every comparison; max gap 0 inverts
+  // the sentinel): reject anything outside sane ranges.
   const auto sane = [](double v) { return std::isfinite(v) && v >= 0.0; };
   if (!sane(out.overhead_budget) || !sane(out.distance_threshold) ||
       !sane(out.hysteresis) || !sane(out.phase_spike_factor) ||
-      !sane(out.node_budget) || out.sentinel_coarsen_shifts > 31) {
+      !sane(out.node_budget) || out.max_nominal_gap == 0 ||
+      out.sentinel_coarsen_shifts > 31) {
     return false;
   }
 
   std::uint32_t class_count = 0;
   if (!r.get(class_count)) return false;
+  // A corrupt count must be rejected before it sizes an allocation.
   if (static_cast<std::uint64_t>(class_count) * (5 * sizeof(std::uint32_t)) >
       r.remaining()) {
     return false;
@@ -729,6 +500,9 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
       return false;
     }
     g.rated = (class_flags & 1u) != 0;
+    // A rated class with a zero gap field would silently flip to full
+    // sampling on load (gap 0 clamps/behaves as 1): corruption, reject.
+    if (g.rated && (g.nominal_gap == 0 || g.real_gap == 0)) return false;
   }
 
   out.shift_nodes = 0;
@@ -737,12 +511,14 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
     if (!r.get(out.shift_nodes)) return false;
     const std::uint64_t cells =
         static_cast<std::uint64_t>(out.shift_nodes) * class_count;
+    // NodeId is 16-bit; a wider count (or a table that cannot fit in the
+    // remaining bytes) is corruption, checked before the allocation.
     if (out.shift_nodes > std::numeric_limits<NodeId>::max()) return false;
     if (cells > r.remaining()) return false;
     out.node_gap_shifts.resize(static_cast<std::size_t>(cells));
     for (std::uint8_t& s : out.node_gap_shifts) {
       if (!r.get(s)) return false;
-      if (s > 31) return false;
+      if (s > 31) return false;  // beyond any gap the encoder can produce
     }
   }
 
@@ -758,6 +534,12 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
     out.copy_nodes.assign(copy_count, {});
     for (SnapshotInfo::CopyNode& c : out.copy_nodes) {
       if (!r.get(c.registrations) || !r.get(c.resample_visits)) return false;
+    }
+    // The encoder trims trailing all-zero rows; a padded table would
+    // re-encode differently (corruption or a foreign writer).
+    if (copy_count > 0 && out.copy_nodes.back().registrations == 0 &&
+        out.copy_nodes.back().resample_visits == 0) {
+      return false;
     }
   }
 
@@ -785,6 +567,9 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
     }
     std::uint32_t influence_count = 0;
     if (!r.get(influence_count)) return false;
+    // An influence table without the seen flag would re-encode differently
+    // (the encoder only writes entries a feedback epoch produced).
+    if (!out.influence_seen && influence_count != 0) return false;
     if (static_cast<std::uint64_t>(influence_count) *
             (sizeof(std::uint32_t) + sizeof(double)) >
         r.remaining()) {
@@ -796,6 +581,9 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
       if (!r.get(out.influence[i].first) || !r.get(out.influence[i].second)) {
         return false;
       }
+      // Entries are written in ascending class order, trimmed of zeros;
+      // out-of-order, duplicate, or non-positive values are corruption (or
+      // a foreign writer).
       if (i > 0 && out.influence[i].first <= last_id) return false;
       last_id = out.influence[i].first;
       if (!std::isfinite(out.influence[i].second) ||
@@ -810,6 +598,8 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
   if (out.version >= kSnapshotVersionV5) {
     std::uint32_t count = 0;
     if (!r.get(out.migrations_executed) || !r.get(count)) return false;
+    // The encoder never retains more than the cap, and the total counts
+    // every entry the bounded history ever held.
     if (count > Governor::kMigrationHistoryCap) return false;
     if (out.migrations_executed < count) return false;
     constexpr std::size_t kEntryBytes =
@@ -820,14 +610,19 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
     }
     out.migrations.assign(count, {});
     std::uint64_t prev_epoch = 0;
-    for (SnapshotInfo::Migration& m : out.migrations) {
+    for (Governor::ExecutedMigration& m : out.migrations) {
       if (!r.get(m.epoch) || !r.get(m.thread) || !r.get(m.from) ||
           !r.get(m.to) || !r.get(m.gain_bytes) || !r.get(m.sim_cost_seconds) ||
           !r.get(m.prefetched_bytes)) {
         return false;
       }
+      // The history is chronological and every executed move names two
+      // distinct live nodes, a real thread, and a positive planner gain
+      // (the execution stage records nothing else); the thread bound also
+      // caps the cooldown-stamp table decode_snapshot rebuilds.
       if (m.epoch < prev_epoch || m.epoch > out.epochs_seen) return false;
       prev_epoch = m.epoch;
+      if (m.thread >= kMaxSnapshotThreads) return false;
       if (m.from == m.to || m.from == kInvalidNode || m.to == kInvalidNode) {
         return false;
       }
@@ -838,26 +633,28 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
     }
   }
 
-  out.has_lease = false;
-  out.lease = {};
+  out.lease.reset();
   if (out.version >= kSnapshotVersionV7) {
     std::uint8_t lease_flag = 0;
     if (!r.get(lease_flag)) return false;
     if (lease_flag > 1u) return false;
-    out.has_lease = lease_flag != 0;
-    if (out.has_lease) {
-      if (!r.get(out.lease.tenant) || !r.get(out.lease.tier) ||
-          !r.get(out.lease.weight) || !r.get(out.lease.granted_budget) ||
-          !r.get(out.lease.fair_share) || !r.get(out.lease.floor) ||
-          !r.get(out.lease.borrowed_epochs) || !r.get(out.lease.lent_epochs)) {
+    if (lease_flag != 0) {
+      Governor::TenantLease& l = out.lease.emplace();
+      if (!r.get(l.tenant) || !r.get(l.tier) || !r.get(l.weight) ||
+          !r.get(l.granted_budget) || !r.get(l.fair_share) ||
+          !r.get(l.floor) || !r.get(l.borrowed_epochs) ||
+          !r.get(l.lent_epochs)) {
         return false;
       }
-      if (!std::isfinite(out.lease.weight) || out.lease.weight <= 0.0) {
+      // A lease with a non-positive weight or a NaN grant would wedge the
+      // next arbitration round the same way a NaN budget wedges the
+      // controller: corruption, reject.
+      if (!std::isfinite(l.weight) || l.weight <= 0.0) return false;
+      if (!sane(l.granted_budget) || !sane(l.fair_share) || !sane(l.floor)) {
         return false;
       }
-      if (!sane(out.lease.granted_budget) || !sane(out.lease.fair_share) ||
-          !sane(out.lease.floor)) {
-        return false;
+      if (l.floor > l.granted_budget && l.granted_budget > 0.0) {
+        return false;  // the arbiter never grants below the floor
       }
     }
   }
@@ -867,8 +664,9 @@ bool parse_snapshot(const std::vector<std::uint8_t>& bytes, SnapshotInfo& out) {
   if (n != 0 && (n > r.remaining() / sizeof(double) / n)) return false;
   SquareMatrix m(static_cast<std::size_t>(n));
   for (double& v : m.raw()) {
-    if (!r.get(v)) return false;
-    if (!std::isfinite(v)) return false;
+    // A NaN/inf cell would poison every distance the warm-started daemon
+    // computes against the seeded map.
+    if (!r.get(v) || !std::isfinite(v)) return false;
   }
   if (!r.exhausted()) return false;
   out.tcm = std::move(m);

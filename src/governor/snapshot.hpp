@@ -111,7 +111,7 @@ inline constexpr std::uint32_t kSnapshotVersion = 7;
 inline constexpr std::uint32_t kSnapshotVersionV1 = 1;
 inline constexpr std::uint32_t kSnapshotVersionV2 = 2;
 inline constexpr std::uint32_t kSnapshotVersionV3 = 3;
-/// Decode gates each section on its own pinned constant (never on the
+/// The parser gates each section on its own pinned constant (never on the
 /// moving kSnapshotVersion), so bumping the current version cannot silently
 /// drop an older section from files that carry it.
 inline constexpr std::uint32_t kSnapshotVersionV4 = 4;
@@ -127,10 +127,11 @@ inline constexpr std::uint32_t kSnapshotVersionV7 = 7;
                                                         const SquareMatrix& tcm);
 
 /// Restores governor state and per-class gaps into `gov` (and its plan) and
-/// writes the stored map into `tcm`.  The class registry must already hold
-/// the snapshot's classes (warm starts re-register classes
-/// deterministically).  Returns false on bad magic/version/truncation or
-/// unknown class ids; the governor is unchanged on failure.
+/// writes the stored map into `tcm`: parse_snapshot, then the checks that
+/// need the live registry, then apply.  The class registry must already
+/// hold the snapshot's classes (warm starts re-register classes
+/// deterministically).  Returns false on anything parse_snapshot rejects or
+/// on unknown class ids; the governor is unchanged on failure.
 [[nodiscard]] bool decode_snapshot(const std::vector<std::uint8_t>& bytes,
                                    Governor& gov, SquareMatrix& tcm);
 
@@ -161,13 +162,13 @@ inline constexpr std::uint32_t kSnapshotVersionV7 = 7;
 [[nodiscard]] std::vector<std::string> recover_timeline(
     const std::string& path, bool* torn = nullptr);
 
-/// Registry-independent view of one decoded snapshot, for offline tooling
-/// (src/export/ and tools/djvm_export).  decode_snapshot applies a file to a
-/// *live* governor and validates class ids against the live registry;
-/// parse_snapshot checks structure only, so any v1–v7 file from any run can
-/// be converted to pprof/flamegraph/JSON without reconstructing the run.
+/// Registry-independent view of one snapshot.  parse_snapshot is the only
+/// reader of the byte layout: decode_snapshot restores a *live* governor
+/// from its result after checking class ids against the live registry, and
+/// offline tooling (src/export/, tools/djvm_export) converts any v1–v7 file
+/// from any run to pprof/flamegraph/JSON without reconstructing the run.
 /// Kept next to the encoder because this file owns the format: a layout
-/// change must update encode, decode, and parse together.
+/// change must update encode and parse together.
 struct SnapshotInfo {
   std::uint32_t version = 0;
   std::uint8_t mode = 0;
@@ -209,29 +210,9 @@ struct SnapshotInfo {
   std::vector<std::pair<std::uint32_t, double>> influence;  ///< ascending ids
 
   std::uint64_t migrations_executed = 0;  ///< v5+ total (counts past the cap)
-  struct Migration {
-    std::uint64_t epoch = 0;
-    std::uint32_t thread = 0;
-    std::uint16_t from = 0;
-    std::uint16_t to = 0;
-    double gain_bytes = 0.0;
-    double sim_cost_seconds = 0.0;
-    std::uint64_t prefetched_bytes = 0;
-  };
-  std::vector<Migration> migrations;  ///< v5+ history, chronological
+  std::vector<Governor::ExecutedMigration> migrations;  ///< v5+, chronological
 
-  bool has_lease = false;  ///< v7+ tenant budget lease present
-  struct Lease {
-    std::uint32_t tenant = 0;
-    std::uint32_t tier = 0;
-    double weight = 0.0;
-    double granted_budget = 0.0;
-    double fair_share = 0.0;
-    double floor = 0.0;
-    std::uint64_t borrowed_epochs = 0;
-    std::uint64_t lent_epochs = 0;
-  };
-  Lease lease;  ///< meaningful only when has_lease
+  std::optional<Governor::TenantLease> lease;  ///< v7+ tenant budget lease
 
   SquareMatrix tcm;
 
@@ -246,10 +227,14 @@ struct SnapshotInfo {
 };
 
 /// Parses a snapshot without touching any live state.  Returns false on bad
-/// magic/version, truncation, structural corruption (counts that cannot
-/// fit the remaining bytes, out-of-range enums, non-finite knobs), or a
-/// failed v6 CRC32 footer check; `out` is unspecified on failure.  Never
-/// throws, never reads out of bounds.
+/// magic/version, a failed v6 CRC32 footer check, truncation, or any
+/// invariant the encoder guarantees and that needs no live registry:
+/// counts that cannot fit the remaining bytes, out-of-range enums,
+/// inconsistent mode/state pairs, non-finite or negative knobs and TCM
+/// cells, rated classes with a zero gap, padded (untrimmed) tables, and
+/// migration or lease entries the live governor could never have recorded.
+/// `out` is unspecified on failure.  Never throws, never reads out of
+/// bounds.
 [[nodiscard]] bool parse_snapshot(const std::vector<std::uint8_t>& bytes,
                                   SnapshotInfo& out);
 

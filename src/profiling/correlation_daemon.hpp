@@ -71,7 +71,7 @@ struct EpochResult {
   /// (empty when no per-node samples were ever recorded).
   std::vector<double> node_fractions;
   /// Cluster-wide per-category traffic deltas over this epoch.  The daemon
-  /// never sees the network; the pump (Djvm::run_governed_epoch) fills these
+  /// never sees the network; the pump (Djvm::run_epoch) fills these
   /// from its Network counters for the timeline.
   CategoryBytes traffic_bytes{};
   /// Same per source node (empty when the pump does not track nodes).

@@ -212,6 +212,18 @@ TEST_F(ExportFixture, PprofExportCountsMatchSnapshot) {
   EXPECT_EQ(stats.node_samples, info.copy_nodes.size());
 }
 
+TEST(PprofExport, ClassIdsFromTheFileNeverIndexAnAllocation) {
+  // parse_snapshot has no registry, so any u32 class id reaches the
+  // exporters; the largest one must export like any other.
+  SnapshotInfo info;
+  info.classes.push_back({0xFFFFFFFFu, 16, 17, 0, true});
+  info.influence_seen = true;
+  info.influence = {{0xFFFFFFFFu, 0.5}};
+  PprofExportStats stats;
+  EXPECT_FALSE(export_pprof(info, {}, &stats).empty());
+  EXPECT_EQ(stats.class_samples, 1u);
+}
+
 TEST_F(ExportFixture, CollapsedLinesAreWellFormed) {
   SnapshotInfo info;
   ASSERT_TRUE(parse_snapshot(bytes, info));
@@ -291,7 +303,7 @@ TEST(Timeline, GovernedRunEmitsOneValidLinePerEpoch) {
       djvm.gos().clock(t).advance(objs.size() * 1000);
     }
     djvm.barrier_all();
-    djvm.run_governed_epoch();
+    djvm.run_epoch();
   }
   djvm.snapshot_writer()->flush();
   EXPECT_EQ(djvm.snapshot_writer()->appended(),

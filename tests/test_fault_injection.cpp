@@ -326,7 +326,7 @@ TEST_F(DegradedModeTest, FailNodeQuarantinesRehomesAndFailsOverThreads) {
     objs.push_back(djvm.gos().alloc(k, static_cast<NodeId>(i % cfg.nodes)));
   }
   drive_epoch(djvm, objs);
-  (void)djvm.run_governed_epoch();
+  (void)djvm.run_epoch();
 
   djvm.fail_node(1);
 
@@ -344,7 +344,7 @@ TEST_F(DegradedModeTest, FailNodeQuarantinesRehomesAndFailsOverThreads) {
 
   // The next epoch reports itself degraded and names the lost node.
   drive_epoch(djvm, objs);
-  const EpochResult res = djvm.run_governed_epoch();
+  const EpochResult res = djvm.run_epoch();
   EXPECT_TRUE(res.degraded);
   ASSERT_EQ(res.lost_nodes.size(), 1u);
   EXPECT_EQ(res.lost_nodes[0], 1);
@@ -372,7 +372,7 @@ TEST_F(DegradedModeTest, TimedKillFromThePlanFiresDuringTheRun) {
   bool saw_degraded = false;
   for (int e = 0; e < 4; ++e) {
     drive_epoch(djvm, objs);
-    const EpochResult res = djvm.run_governed_epoch();
+    const EpochResult res = djvm.run_epoch();
     if (e < 2) EXPECT_FALSE(res.degraded) << "epoch " << e;
     saw_degraded |= res.degraded;
   }
@@ -393,10 +393,10 @@ TEST_F(DegradedModeTest, QuarantinedNodeIsExcludedFromOffenderScoring) {
     objs.push_back(djvm.gos().alloc(k, static_cast<NodeId>(i % cfg.nodes)));
   }
   drive_epoch(djvm, objs);
-  (void)djvm.run_governed_epoch();
+  (void)djvm.run_epoch();
   djvm.fail_node(1);
   drive_epoch(djvm, objs);
-  const EpochResult res = djvm.run_governed_epoch();
+  const EpochResult res = djvm.run_epoch();
   if (res.offender.has_value()) EXPECT_NE(*res.offender, 1);
   EXPECT_EQ(djvm.governor().quarantined_nodes(),
             std::vector<NodeId>{1});

@@ -1,14 +1,19 @@
-// Snapshot format compatibility: v1 through v6 fixtures (hand-built from
-// their documented layouts) still load into a v7 reader, new snapshots are
-// written as v7 with the tenant lease section and a CRC32 integrity footer,
-// a warm start resamples only what actually changed — no full resample
-// storm — and the crash-recovery helpers skip corrupt snapshots and
-// tolerate a torn final timeline line.
+// Snapshot format compatibility: v1 through v7 fixtures (hand-built from
+// their documented layouts, see snapshot_fixture.hpp) still load into a v7
+// reader, and parse_snapshot reads each one as exactly the state
+// decode_snapshot restores; new snapshots are written as v7 with the tenant
+// lease section and a CRC32 integrity footer; corrupt sections (including
+// a non-finite map cell behind a valid checksum) are rejected without
+// touching the live governor; a warm start resamples only what actually
+// changed — no full resample storm — and the crash-recovery helpers skip
+// corrupt snapshots and tolerate a torn final timeline line.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "common/crc32.hpp"
 #include "governor/governor.hpp"
 #include "governor/snapshot.hpp"
+#include "snapshot_fixture.hpp"
 
 namespace djvm {
 namespace {
@@ -29,136 +35,52 @@ class SnapshotCompatTest : public ::testing::Test {
     for (int i = 0; i < 64; ++i) plan.on_alloc(heap.alloc(bulky, 0));
   }
 
-  struct FixtureSpec {
-    std::uint32_t version = kSnapshotVersionV2;
-    bool per_node = true;
-    // {nominal, real} per class, in registry order; converged = 0.
-    std::uint32_t hot_nominal = 16, hot_real = 17;
-    std::uint32_t bulky_nominal = 128, bulky_real = 127;
-    // Shift on (node 1, hot); 0 = no shift table rows (v2 only).
-    std::uint8_t hot_shift_node1 = 0;
-    // v3+: copy summary row for node 0 ({0, 0} = empty table).
-    std::uint64_t copy_regs_node0 = 0, copy_visits_node0 = 0;
-    // v4: scoring mode + influence table ({class, value} when seen).
-    std::uint8_t scoring = 1;  // kInfluenceWeighted
-    std::uint8_t influence_seen = 0;
-    std::uint16_t v4_reserved = 0;
-    double influence_decay = 0.5;
-    std::vector<std::pair<std::uint32_t, double>> influence;
-    // v5: executed-migration history (epochs fixture field is 7, so entry
-    // epochs must be <= 7 and non-decreasing).
-    struct FixtureMigration {
-      std::uint64_t epoch = 1;
-      std::uint32_t thread = 0;
-      std::uint16_t from = 0, to = 1;
-      double gain_bytes = 1.0, sim_cost_seconds = 0.0;
-      std::uint64_t prefetched_bytes = 0;
-    };
-    std::uint64_t migrations_executed = 0;
-    std::vector<FixtureMigration> migrations;
-    // v7: tenant budget lease (has_lease = 0 -> no lease payload).
-    std::uint8_t has_lease = 0;
-    std::uint32_t lease_tenant = 3, lease_tier = 1;
-    double lease_weight = 2.0, lease_granted = 0.015;
-    double lease_fair = 0.01, lease_floor = 0.0025;
-    std::uint64_t lease_borrowed = 4, lease_lent = 2;
-  };
-
-  /// Hand-builds a v1..v4 snapshot from the documented layout.
-  static std::vector<std::uint8_t> build_fixture(const FixtureSpec& spec) {
-    std::vector<std::uint8_t> bytes;
-    const auto put = [&bytes](const auto& v) {
-      const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-      bytes.insert(bytes.end(), p, p + sizeof(v));
-    };
-    const bool v1 = spec.version == kSnapshotVersionV1;
-    put(kSnapshotMagic);
-    put(spec.version);
-    bytes.push_back(static_cast<std::uint8_t>(GovernorMode::kClosedLoop));
-    bytes.push_back(static_cast<std::uint8_t>(GovernorState::kSentinel));
-    bytes.push_back(!v1 && spec.per_node ? 1 : 0);  // v1: reserved padding
-    bytes.push_back(0);
-    put(0.02);   // overhead_budget
-    put(0.05);   // distance_threshold
-    put(0.25);   // hysteresis
-    put(3.0);    // phase_spike_factor
-    if (!v1) put(0.015);          // node_budget            [v2+]
-    put(std::uint32_t{2});        // sentinel_coarsen_shifts
-    put(std::uint32_t{1u << 16}); // max_nominal_gap
-    put(std::uint64_t{7});        // epochs
-    put(std::uint64_t{1});        // rearms
-    put(std::uint32_t{2});        // class_count
-    put(std::uint32_t{0});
-    put(spec.hot_nominal);
-    put(spec.hot_real);
-    put(std::uint32_t{0});  put(std::uint32_t{1});  // hot: rated
-    put(std::uint32_t{1});
-    put(spec.bulky_nominal);
-    put(spec.bulky_real);
-    put(std::uint32_t{0});  put(std::uint32_t{1});  // bulky: rated
-    if (!v1) {
-      if (spec.hot_shift_node1 != 0) {
-        put(std::uint32_t{2});          // shift_node_count  [v2+]
-        bytes.push_back(0);             // node 0: hot, bulky
-        bytes.push_back(0);
-        bytes.push_back(spec.hot_shift_node1);  // node 1: hot
-        bytes.push_back(0);                     // node 1: bulky
-      } else {
-        put(std::uint32_t{0});
+  /// Decodes the fixture `spec` describes into `gov`/`tcm`.  Every blob the
+  /// decoder accepts also goes through parse_snapshot, which must read the
+  /// same state the decoder restored: parse is the one reader of the
+  /// layout, and decode only adds the registry checks and the apply step.
+  static bool decode_fixture(const FixtureSpec& spec, Governor& gov,
+                             SquareMatrix& tcm) {
+    const std::vector<std::uint8_t> bytes = build_fixture(spec);
+    if (!decode_snapshot(bytes, gov, tcm)) return false;
+    SnapshotInfo info;
+    EXPECT_TRUE(parse_snapshot(bytes, info));
+    EXPECT_EQ(info.version, spec.version);
+    const SamplingPlan& p = gov.plan();
+    for (std::size_t c = 0; c < info.classes.size(); ++c) {
+      const SnapshotInfo::ClassGap& g = info.classes[c];
+      if (g.rated) {
+        EXPECT_EQ(p.nominal_gap(g.id), g.nominal_gap) << "class " << g.id;
+        EXPECT_EQ(p.real_gap(g.id), g.real_gap) << "class " << g.id;
       }
-    }
-    if (spec.version >= kSnapshotVersionV3) {
-      if (spec.copy_regs_node0 != 0 || spec.copy_visits_node0 != 0) {
-        put(std::uint32_t{1});          // copy_node_count   [v3+]
-        put(spec.copy_regs_node0);
-        put(spec.copy_visits_node0);
-      } else {
-        put(std::uint32_t{0});
+      EXPECT_EQ(gov.converged_gaps().at(g.id), g.converged_gap);
+      const std::size_t nodes =
+          std::max<std::size_t>(info.shift_nodes, p.shift_node_count());
+      for (std::size_t n = 0; n < nodes; ++n) {
+        EXPECT_EQ(p.node_gap_shift(static_cast<NodeId>(n), g.id),
+                  info.shift_at(n, c))
+            << "node " << n << " class " << g.id;
       }
     }
     if (spec.version >= kSnapshotVersionV4) {
-      bytes.push_back(spec.scoring);          // backoff_scoring [v4]
-      bytes.push_back(spec.influence_seen);
-      put(spec.v4_reserved);
-      put(spec.influence_decay);
-      put(static_cast<std::uint32_t>(spec.influence.size()));
-      for (const auto& [id, value] : spec.influence) {
-        put(id);
-        put(value);
+      EXPECT_EQ(gov.influence_seen(), info.influence_seen);
+      for (const SnapshotInfo::ClassGap& g : info.classes) {
+        double stored = 0.0;
+        for (const auto& [id, value] : info.influence) {
+          if (id == g.id) stored = value;
+        }
+        EXPECT_EQ(gov.influence_share(g.id), stored) << "class " << g.id;
       }
     }
     if (spec.version >= kSnapshotVersionV5) {
-      put(spec.migrations_executed);
-      put(static_cast<std::uint32_t>(spec.migrations.size()));
-      for (const auto& m : spec.migrations) {
-        put(m.epoch);
-        put(m.thread);
-        put(m.from);
-        put(m.to);
-        put(m.gain_bytes);
-        put(m.sim_cost_seconds);
-        put(m.prefetched_bytes);
-      }
+      EXPECT_EQ(gov.migrations_executed(), info.migrations_executed);
+      EXPECT_EQ(gov.migration_history(), info.migrations);
     }
     if (spec.version >= kSnapshotVersionV7) {
-      bytes.push_back(spec.has_lease);         // tenant lease      [v7]
-      if (spec.has_lease != 0) {
-        put(spec.lease_tenant);
-        put(spec.lease_tier);
-        put(spec.lease_weight);
-        put(spec.lease_granted);
-        put(spec.lease_fair);
-        put(spec.lease_floor);
-        put(spec.lease_borrowed);
-        put(spec.lease_lent);
-      }
+      EXPECT_EQ(gov.lease(), info.lease);
     }
-    put(std::uint64_t{2});  // tcm dimension
-    for (int i = 0; i < 4; ++i) put(double{0.5});
-    if (spec.version >= kSnapshotVersionV6) {
-      put(crc32(bytes.data(), bytes.size()));  // integrity footer [v6]
-    }
-    return bytes;
+    EXPECT_EQ(tcm, info.tcm);
+    return true;
   }
 
   KlassRegistry reg;
@@ -173,7 +95,7 @@ TEST_F(SnapshotCompatTest, V1FixtureStillLoads) {
   spec.version = kSnapshotVersionV1;
   Governor gov(plan);
   SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
+  ASSERT_TRUE(decode_fixture(spec, gov, tcm));
   EXPECT_EQ(plan.nominal_gap(hot), 16u);
   EXPECT_EQ(plan.real_gap(hot), 17u);
   EXPECT_EQ(plan.nominal_gap(bulky), 128u);
@@ -187,7 +109,7 @@ TEST_F(SnapshotCompatTest, V2FixtureLoadsIntoCachedCopyPlan) {
   spec.hot_shift_node1 = 3;
   Governor gov(plan);
   SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
+  ASSERT_TRUE(decode_fixture(spec, gov, tcm));
   EXPECT_EQ(plan.nominal_gap(hot), 16u);
   EXPECT_EQ(plan.node_gap_shift(1, hot), 3u);
   EXPECT_EQ(plan.effective_nominal_gap(1, hot), 16u << 3);
@@ -228,7 +150,7 @@ TEST_F(SnapshotCompatTest, V2WarmStartResamplesNothingWhenNothingChanged) {
 
   Governor gov(plan);
   SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(FixtureSpec{}), gov, tcm));
+  ASSERT_TRUE(decode_fixture(FixtureSpec{}, gov, tcm));
   // The governor is warm-started and driving, but no class's gap or shift
   // moved: the load pays zero resampling visits (the old decoder re-walked
   // the whole heap on every load — a resample storm billed to epoch one).
@@ -254,7 +176,7 @@ TEST_F(SnapshotCompatTest, V2WarmStartResamplesOnlyChangedClasses) {
   spec.hot_real = 31;
   Governor gov(plan);
   SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
+  ASSERT_TRUE(decode_fixture(spec, gov, tcm));
   EXPECT_EQ(plan.nominal_gap(hot), 32u);
   const std::vector<std::uint64_t> billed = plan.drain_resampled_by_node();
   std::uint64_t total = 0;
@@ -317,7 +239,7 @@ TEST_F(SnapshotCompatTest, V3FixtureLoadsAndKeepsMachineLocalInfluence) {
   gov.observe_balancer_feedback(fb);
   ASSERT_TRUE(gov.influence_seen());
   SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
+  ASSERT_TRUE(decode_fixture(spec, gov, tcm));
   EXPECT_EQ(plan.nominal_gap(hot), 16u);
   EXPECT_EQ(plan.copy_registrations(0), 5u);
   EXPECT_EQ(plan.resample_visits(0), 9u);
@@ -334,7 +256,7 @@ TEST_F(SnapshotCompatTest, V4FixtureRestoresInfluenceTable) {
   spec.influence = {{0, 0.75}};  // hot carries influence, bulky trimmed
   Governor gov(plan);
   SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
+  ASSERT_TRUE(decode_fixture(spec, gov, tcm));
   EXPECT_TRUE(gov.influence_seen());
   EXPECT_DOUBLE_EQ(gov.influence_share(hot), 0.75);
   EXPECT_DOUBLE_EQ(gov.influence_share(bulky), 0.0);
@@ -367,7 +289,7 @@ TEST_F(SnapshotCompatTest, V5FixtureRestoresMigrationHistory) {
   spec.migrations = {a, b};
   Governor gov(plan);
   SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
+  ASSERT_TRUE(decode_fixture(spec, gov, tcm));
   EXPECT_EQ(gov.migrations_executed(), 9u);
   ASSERT_EQ(gov.migration_history().size(), 2u);
   EXPECT_EQ(gov.migration_history()[0].thread, 1u);
@@ -388,7 +310,7 @@ TEST_F(SnapshotCompatTest, CorruptV5MigrationSectionIsRejected) {
   bad.version = kSnapshotVersionV5;
   bad.migrations_executed = 0;
   bad.migrations = {{}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   // Self-move.
   bad = FixtureSpec{};
@@ -396,7 +318,7 @@ TEST_F(SnapshotCompatTest, CorruptV5MigrationSectionIsRejected) {
   bad.migrations_executed = 1;
   bad.migrations = {{}};
   bad.migrations[0].to = bad.migrations[0].from;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   // Epochs out of order / past the governor's epoch count.
   bad = FixtureSpec{};
@@ -405,10 +327,10 @@ TEST_F(SnapshotCompatTest, CorruptV5MigrationSectionIsRejected) {
   bad.migrations = {{}, {}};
   bad.migrations[0].epoch = 5;
   bad.migrations[1].epoch = 2;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
   bad.migrations[0].epoch = 2;
   bad.migrations[1].epoch = 8;  // fixture writes epochs_seen = 7
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   // Non-positive gain.
   bad = FixtureSpec{};
@@ -416,14 +338,14 @@ TEST_F(SnapshotCompatTest, CorruptV5MigrationSectionIsRejected) {
   bad.migrations_executed = 1;
   bad.migrations = {{}};
   bad.migrations[0].gain_bytes = 0.0;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   // The matching well-formed fixture still loads.
   FixtureSpec good;
   good.version = kSnapshotVersionV5;
   good.migrations_executed = 1;
   good.migrations = {{}};
-  EXPECT_TRUE(decode_snapshot(build_fixture(good), gov, tcm));
+  EXPECT_TRUE(decode_fixture(good, gov, tcm));
 }
 
 TEST_F(SnapshotCompatTest, CorruptV4InfluenceSectionIsRejected) {
@@ -433,34 +355,34 @@ TEST_F(SnapshotCompatTest, CorruptV4InfluenceSectionIsRejected) {
   FixtureSpec bad;
   bad.version = kSnapshotVersion;
   bad.scoring = 2;  // beyond kInfluenceWeighted
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   bad = FixtureSpec{};
   bad.version = kSnapshotVersion;
   bad.v4_reserved = 0xBEEF;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   bad = FixtureSpec{};
   bad.version = kSnapshotVersion;
   bad.influence_decay = 1.5;  // outside [0, 1]
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   // Influence entries without the seen flag cannot re-encode bit-exactly.
   bad = FixtureSpec{};
   bad.version = kSnapshotVersion;
   bad.influence = {{0, 0.5}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   // Unknown class, zero (= padded) value, out-of-order ids: all corruption.
   bad = FixtureSpec{};
   bad.version = kSnapshotVersion;
   bad.influence_seen = 1;
   bad.influence = {{7, 0.5}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
   bad.influence = {{0, 0.0}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
   bad.influence = {{1, 0.5}, {0, 0.5}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   // The matching well-formed fixture still loads (the rejections above are
   // the corruption, not the section).
@@ -468,7 +390,7 @@ TEST_F(SnapshotCompatTest, CorruptV4InfluenceSectionIsRejected) {
   good.version = kSnapshotVersion;
   good.influence_seen = 1;
   good.influence = {{0, 0.5}, {1, 0.25}};
-  EXPECT_TRUE(decode_snapshot(build_fixture(good), gov, tcm));
+  EXPECT_TRUE(decode_fixture(good, gov, tcm));
 }
 
 TEST_F(SnapshotCompatTest, CorruptCopySummaryIsRejected) {
@@ -522,7 +444,7 @@ TEST_F(SnapshotCompatTest, V6FixtureStillLoadsWithoutALease) {
   spec.version = kSnapshotVersionV6;
   Governor gov(plan);
   SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
+  ASSERT_TRUE(decode_fixture(spec, gov, tcm));
   EXPECT_FALSE(gov.lease().has_value());
   EXPECT_EQ(tcm.size(), 2u);
 }
@@ -569,26 +491,26 @@ TEST_F(SnapshotCompatTest, CorruptV7LeaseSectionIsRejected) {
   FixtureSpec bad;
   bad.version = kSnapshotVersion;
   bad.has_lease = 2;  // flag must be 0/1
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   bad = FixtureSpec{};
   bad.version = kSnapshotVersion;
   bad.has_lease = 1;
   bad.lease_weight = 0.0;  // non-positive weight wedges arbitration
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   bad = FixtureSpec{};
   bad.version = kSnapshotVersion;
   bad.has_lease = 1;
   bad.lease_floor = 0.02;  // floor above the grant: never emitted
   bad.lease_granted = 0.01;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_FALSE(decode_fixture(bad, gov, tcm));
 
   // The matching well-formed lease fixture still loads.
   FixtureSpec good;
   good.version = kSnapshotVersion;
   good.has_lease = 1;
-  EXPECT_TRUE(decode_snapshot(build_fixture(good), gov, tcm));
+  EXPECT_TRUE(decode_fixture(good, gov, tcm));
   ASSERT_TRUE(gov.lease().has_value());
   EXPECT_EQ(gov.lease()->tenant, 3u);
   EXPECT_DOUBLE_EQ(gov.lease()->granted_budget, 0.015);
@@ -621,6 +543,36 @@ TEST_F(SnapshotCompatTest, TruncatedOrBitFlippedV6IsRejected) {
     EXPECT_FALSE(decode_snapshot(flipped, g, out)) << "flipped byte " << at;
     EXPECT_FALSE(parse_snapshot(flipped, info)) << "flipped byte " << at;
   }
+}
+
+TEST_F(SnapshotCompatTest, NonFiniteTcmCellIsRejectedAndLeavesGovernorUntouched) {
+  // A CRC-valid v7 blob whose stored map carries a NaN cell: the checksum
+  // cannot catch it (the footer is re-stamped over the bad cell), so the
+  // field parser must.  Restoring it would seed the warm-started daemon
+  // with a map that poisons every later distance check.
+  Governor writer(plan);
+  SquareMatrix tcm(2);
+  tcm.at(0, 1) = 3.0;
+  std::vector<std::uint8_t> bytes = encode_snapshot(writer, tcm);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t footer = bytes.size() - sizeof(std::uint32_t);
+  std::memcpy(&bytes[footer - sizeof(double)], &nan, sizeof nan);  // cell (1,1)
+  const std::uint32_t crc = crc32(bytes.data(), footer);
+  std::memcpy(&bytes[footer], &crc, sizeof crc);
+
+  SnapshotInfo info;
+  EXPECT_FALSE(parse_snapshot(bytes, info));
+
+  // The reader's governor differs from the blob's (legacy mode, coarser
+  // gaps), so a partial apply would show in its re-encoding.
+  plan.set_nominal_gap(hot, 64);
+  Governor reader(plan);
+  reader.arm(GovernorConfig::legacy(0.1));
+  SquareMatrix out(3);
+  out.at(0, 2) = 9.0;
+  const std::vector<std::uint8_t> before = encode_snapshot(reader, out);
+  EXPECT_FALSE(decode_snapshot(bytes, reader, out));
+  EXPECT_EQ(encode_snapshot(reader, out), before);
 }
 
 TEST_F(SnapshotCompatTest, RecoverSnapshotSkipsCorruptCandidates) {
